@@ -18,7 +18,9 @@ import (
 // root, and each log lives in a named subdirectory (dbcollect journals
 // under <dir>/collector; decoydb keeps its capture journal under
 // <dir>/journal and its relay spool under <dir>/spool), so one -store
-// value moves the whole durable state of a process.
+// value moves the whole durable state of a process. compress= sets the
+// level of the store journals only: the relay spool journals each frame
+// exactly as the forwarder compressed it for the wire.
 type Store struct {
 	Spec *string
 }

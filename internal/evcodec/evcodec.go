@@ -47,9 +47,10 @@ const (
 
 // LevelStored selects flate stored (uncompressed) blocks: the payload
 // is still a valid flate stream any decoder accepts, but encoding is a
-// plain copy. The WAL defaults to it — segment appends sit on the
-// ingest hot path and local disk is cheaper than the CPU to shrink it —
-// while the relay keeps real compression for the wire.
+// plain copy. The WAL's Append defaults to it — segment appends sit on
+// the ingest hot path and local disk is cheaper than the CPU to shrink
+// it — while the relay keeps real compression for the wire (and its
+// spool journals those wire payloads as they are).
 const LevelStored = -3
 
 // Codec errors.
@@ -92,15 +93,27 @@ type Payload struct {
 	buf *bytes.Buffer // pooled backing store for Comp, nil if unpooled
 }
 
+// maxPooledBuf caps the capacity of a buffer returned to any of the
+// package's pools: one outsized batch must not pin its buffer for the
+// life of the process.
+const maxPooledBuf = 1 << 20
+
 // compBufs recycles compression output buffers between batches.
 var compBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putCompBuf returns a compression output buffer to compBufs.
+func putCompBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuf {
+		b.Reset()
+		compBufs.Put(b)
+	}
+}
 
 // Release recycles the payload's backing buffer. The caller must be
 // done with Comp; forgetting to call it only costs a GC'd allocation.
 func (p *Payload) Release() {
 	if p.buf != nil {
-		p.buf.Reset()
-		compBufs.Put(p.buf)
+		putCompBuf(p.buf)
 		p.buf, p.Comp = nil, nil
 	}
 }
@@ -116,15 +129,16 @@ func (p Payload) AppendHead(buf []byte, seq uint64) []byte {
 	return binary.LittleEndian.AppendUint32(buf, p.CRC)
 }
 
-// flateWriters recycles flate compressors: flate.NewWriter allocates
-// ~1MB of window and hash-table state, which would otherwise dominate
-// every batch append on both the relay and WAL hot paths.
-var flateWriters sync.Pool
+// HeadSize is the length of the framing AppendHead writes.
+const HeadSize = 20
 
-type pooledFlate struct {
-	level int
-	fw    *flate.Writer
-}
+// flateWriters recycles flate compressors, one pool per compress/flate
+// level (flate.HuffmanOnly..flate.BestCompression, indexed from
+// HuffmanOnly). flate.NewWriter allocates ~1MB of window and hash-table
+// state; with one pool for all levels, callers alternating levels (the
+// collector journal at stored blocks, the relay at BestSpeed) kept
+// evicting each other's writers and rebuilt one per batch.
+var flateWriters [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
 
 // rawBufs recycles the pre-compression encode buffer; it never escapes
 // Compress, so pooling it removes a ~32KB alloc+clear per batch.
@@ -141,6 +155,9 @@ func Compress(events []core.Event, level int) (Payload, error) {
 	case LevelStored:
 		level = flate.NoCompression
 	}
+	if level < flate.HuffmanOnly || level > flate.BestCompression {
+		return Payload{}, fmt.Errorf("evcodec: invalid flate level %d", level)
+	}
 	// Encode into a local slice: appending through a pointer field would
 	// pay a GC write barrier on every field write, which profiles as half
 	// the cost of encoding a batch.
@@ -149,16 +166,20 @@ func Compress(events []core.Event, level int) (Payload, error) {
 	for _, e := range events {
 		raw = appendEvent(raw, e)
 	}
-	defer func() { *rawp = raw[:0]; rawBufs.Put(rawp) }()
+	defer func() {
+		if cap(raw) <= maxPooledBuf {
+			*rawp = raw[:0]
+			rawBufs.Put(rawp)
+		}
+	}()
 	comp := compBufs.Get().(*bytes.Buffer)
 	fail := func(err error) (Payload, error) {
-		comp.Reset()
-		compBufs.Put(comp)
+		putCompBuf(comp)
 		return Payload{}, err
 	}
-	var fw *flate.Writer
-	if v, _ := flateWriters.Get().(*pooledFlate); v != nil && v.level == level {
-		fw = v.fw
+	pool := &flateWriters[level-flate.HuffmanOnly]
+	fw, _ := pool.Get().(*flate.Writer)
+	if fw != nil {
 		fw.Reset(comp)
 	} else {
 		var err error
@@ -172,7 +193,7 @@ func Compress(events []core.Event, level int) (Payload, error) {
 	if err := fw.Close(); err != nil {
 		return fail(fmt.Errorf("evcodec: compress batch: %w", err))
 	}
-	flateWriters.Put(&pooledFlate{level: level, fw: fw})
+	pool.Put(fw)
 	return Payload{
 		Comp:   comp.Bytes(),
 		RawLen: len(raw),
@@ -186,7 +207,8 @@ func Compress(events []core.Event, level int) (Payload, error) {
 // sequence number, event count, uncompressed size, payload CRC, then
 // the compressed payload itself.
 func AppendPayload(w *wire.Writer, seq uint64, p Payload) {
-	w.Raw(p.AppendHead(nil, seq))
+	var head [HeadSize]byte
+	w.Raw(p.AppendHead(head[:0], seq))
 	w.Raw(p.Comp)
 }
 
@@ -202,6 +224,54 @@ func AppendBatch(w *wire.Writer, seq uint64, events []core.Event, level int) (ra
 	AppendPayload(w, seq, p)
 	p.Release()
 	return p.RawLen, nil
+}
+
+// inflater is a pooled decompressor together with the reader it
+// consumes, so ReadBatch allocates neither per batch.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // a flate.Resetter
+}
+
+// inflaters recycles decompressors: flate.NewReader allocates ~40KB of
+// window and Huffman tables per call.
+var inflaters = sync.Pool{New: func() any {
+	z := new(inflater)
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
+
+// inflateBufs recycles ReadBatch's decompressed-payload buffer. Events
+// decode out of it by copy, so it never escapes ReadBatch.
+var inflateBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// inflate decompresses comp into buf, reading at most limit bytes, and
+// returns the filled prefix. It is io.Copy through an io.LimitReader
+// into a buffer already sized for limit: the read stops at the
+// decompressor's EOF or at limit, and any other error is returned.
+func inflate(comp, buf []byte, limit int) ([]byte, error) {
+	z := inflaters.Get().(*inflater)
+	defer func() {
+		z.src.Reset(nil) // a pooled inflater must not pin the last batch
+		inflaters.Put(z)
+	}()
+	z.src.Reset(comp)
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, err
+	}
+	lr := io.LimitedReader{R: z.fr, N: int64(limit)}
+	buf = buf[:limit]
+	n := 0
+	for {
+		m, err := lr.Read(buf[n:])
+		n += m
+		if err == io.EOF {
+			return buf[:n], nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // ReadBatch is the symmetric inverse of AppendBatch: it consumes one
@@ -237,19 +307,26 @@ func ReadBatch(r *wire.Reader, lim Limits) (seq uint64, events []core.Event, raw
 	if crc32.ChecksumIEEE(comp) != sum {
 		return 0, nil, 0, ErrChecksum
 	}
-	// LimitReader caps the decompressor at declaredRaw+1: a payload that
+	// The decompressor is capped at declaredRaw+1: a payload that
 	// inflates past its declaration is rejected without allocating more
 	// than one extra byte past the bound.
-	fr := flate.NewReader(bytes.NewReader(comp))
-	buf := bytes.NewBuffer(make([]byte, 0, declaredRaw))
-	n, err := io.Copy(buf, io.LimitReader(fr, int64(declaredRaw)+1))
+	bufp := inflateBufs.Get().(*[]byte)
+	if cap(*bufp) < int(declaredRaw)+1 {
+		*bufp = make([]byte, 0, int(declaredRaw)+1)
+	}
+	defer func() {
+		if cap(*bufp) <= maxPooledBuf {
+			inflateBufs.Put(bufp)
+		}
+	}()
+	raw, err := inflate(comp, *bufp, int(declaredRaw)+1)
 	if err != nil {
 		return 0, nil, 0, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 	}
-	if n != int64(declaredRaw) {
-		return 0, nil, 0, fmt.Errorf("%w: payload inflates to %d bytes, declared %d", ErrCorrupt, n, declaredRaw)
+	if len(raw) != int(declaredRaw) {
+		return 0, nil, 0, fmt.Errorf("%w: payload inflates to %d bytes, declared %d", ErrCorrupt, len(raw), declaredRaw)
 	}
-	er := wire.NewReader(buf.Bytes())
+	er := wire.NewReader(raw)
 	events = make([]core.Event, 0, count)
 	for i := uint32(0); i < count; i++ {
 		e, err := decodeEvent(er)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"decoydb/internal/core"
+	"decoydb/internal/evcodec"
 	"decoydb/internal/wal"
 	"decoydb/internal/wire"
 )
@@ -41,9 +42,12 @@ type ForwardOptions struct {
 	Block bool
 
 	// FrameEvents is the target events per frame; pending events are cut
-	// into a frame when they reach it (or earlier, whenever the writer is
-	// idle). 0 means DefaultFrameEvents; values above DefaultMaxBatchEvents
-	// are clamped — a default-configured collector rejects larger frames.
+	// into a frame when they reach it, or earlier — as a partial frame —
+	// once every frame written on the current connection has been acked
+	// (Nagle's rule: while a frame is in flight, events gather into the
+	// next one instead of each batch becoming a frame of its own). 0 means
+	// DefaultFrameEvents; values above DefaultMaxBatchEvents are clamped —
+	// a default-configured collector rejects larger frames.
 	FrameEvents int
 	// MaxFrame and MaxRaw are the wire limits frames are validated
 	// against at encode time; they must be no larger than the
@@ -97,7 +101,8 @@ type ForwardOptions struct {
 	OrphanRelease time.Duration
 
 	// CompressionLevel is the compress/flate level for batch payloads.
-	// 0 means flate.BestSpeed.
+	// 0 means flate.BestSpeed. SpoolWAL journals the same payloads, so
+	// this is the spool's level too.
 	CompressionLevel int
 
 	// DialTimeout, WriteTimeout and FlushTimeout bound connection
@@ -209,11 +214,13 @@ func (o ForwardOptions) withDefaults() ForwardOptions {
 
 // SpoolLog is the durable-spool contract the forwarder journals
 // through. *wal.Log satisfies it; the indirection exists so tests can
-// inject journal faults (a Compact that fails once, an Append that
+// inject journal faults (a Compact that fails once, an append that
 // skews) without a real disk misbehaving on cue.
 type SpoolLog interface {
-	// Append journals a batch and returns its sequence number.
-	Append(events []core.Event, tag []byte) (uint64, error)
+	// AppendPayload journals a compressed batch and returns its sequence
+	// number. The forwarder passes each frame's wire payload, so the
+	// spool holds exactly the bytes it sends, compressed once.
+	AppendPayload(p evcodec.Payload, tag []byte) (uint64, error)
 	// AppendOwner journals which endpoint the batch with sequence seq is
 	// pinned to; an empty addr releases the pin.
 	AppendOwner(seq uint64, addr string) error
@@ -260,6 +267,7 @@ type spoolFrame struct {
 	owner    string    // endpoint address the frame is pinned to; "" = unowned
 	pinnedAt time.Time // when owner was set; orphan-release clock
 	sentAt   time.Time // last successful write; zero until first send
+	sentConn uint64    // ForwardSink.connGen of the last connection it was written on
 }
 
 // endpoint is the per-collector dial state and accounting, in
@@ -309,6 +317,8 @@ type ForwardSink struct {
 	conn       net.Conn
 	connected  bool
 	connAcked  bool      // current connection has acked at least one frame
+	connGen    uint64    // numbers connections; 0 before the first
+	inFlight   int       // frames written on connection connGen and not yet acked
 	cur        *endpoint // endpoint being served; nil when disconnected
 	lastServed *endpoint // endpoint of the previous connection; nil before any
 	handoff    net.Conn
@@ -443,15 +453,6 @@ func cleanAddrs(in []string) []string {
 	return out
 }
 
-// ForwardTo builds a sink that forwards to a single collector.
-//
-// Deprecated: set ForwardOptions.Addrs and call NewForwardSink. Kept
-// for one release for callers of the pre-tier single-address API.
-func ForwardTo(addr string, opts ForwardOptions) (*ForwardSink, error) {
-	opts.Addrs = []string{addr}
-	return NewForwardSink(opts)
-}
-
 // loadSpoolWAL adopts the durable spool: the forwarder's sequence space
 // continues the log's, and every journaled-but-unacked frame (sequence
 // past the persisted ack mark) is re-encoded into the spool so the next
@@ -582,63 +583,44 @@ func (f *ForwardSink) shedLocked(e core.Event) {
 // bound is split in half until it fits — spooling it would poison the
 // spool head: the collector rejects the frame and drops the connection,
 // and the retransmit loop would replay it forever. A single event that
-// cannot fit alone is shed with attribution instead.
+// cannot fit alone is shed with attribution instead. Each frame is
+// compressed once: the same payload is journaled to the spool WAL and
+// framed for the wire.
 func (f *ForwardSink) cutFrameLocked() {
 	for len(f.pending) > 0 {
-		n := len(f.pending)
-		var body []byte
-		var rawLen int
-		for body == nil {
-			b, rl, err := EncodeBatch(f.nextSeq+1, f.pending[:n], f.opts.CompressionLevel)
-			switch {
-			case err != nil:
-				// Encoding into memory cannot fail outside of a
-				// programming error; record it and shed the batch
-				// rather than wedging.
-				f.noteErrLocked(err)
-				f.shedPendingLocked(n)
-			case len(b)+4 <= f.opts.MaxFrame && rl <= f.opts.MaxRaw:
-				body, rawLen = b, rl
-			case n > 1:
-				n /= 2
-				continue
-			default:
-				f.noteErrLocked(fmt.Errorf("relay: event exceeds frame limits (%d raw bytes, limit %d)", rl, f.opts.MaxRaw))
-				f.shedPendingLocked(1)
-			}
-			break
-		}
-		if body == nil {
+		n, p, ok := f.compressPendingLocked()
+		if !ok {
 			continue
 		}
+		seq := f.nextSeq + 1
 		if w := f.opts.SpoolWAL; w != nil {
 			// Journal before spooling: a frame the WAL did not accept must
 			// not enter the sequence space (its seq would be reused after a
 			// restart and the collector would dedup-drop a different
 			// batch). A failing disk degrades to accounted shedding, the
 			// same contract as a full spool.
-			seq, err := w.Append(f.pending[:n], nil)
+			got, err := w.AppendPayload(p, nil)
 			if err != nil {
+				p.Release()
 				f.noteErrLocked(err)
 				f.logf("relay: spool WAL append: %v (shedding %d events)", err, n)
 				f.shedPendingLocked(n)
 				continue
 			}
-			if seq != f.nextSeq+1 {
+			if got != seq {
 				// Foreign writer on the log (ownership contract broken).
-				// Resync to the WAL's sequence space — it is authoritative —
-				// and re-encode under the right sequence number.
-				f.noteErrLocked(fmt.Errorf("relay: spool WAL sequence skew: got %d, want %d", seq, f.nextSeq+1))
-				f.nextSeq = seq - 1
-				if body, rawLen, err = EncodeBatch(seq, f.pending[:n], f.opts.CompressionLevel); err != nil {
-					f.noteErrLocked(err)
-					f.shedPendingLocked(n)
-					continue
-				}
+				// Resync to the WAL's sequence space — it is authoritative;
+				// the payload carries no sequence, so only the frame head
+				// changes.
+				f.noteErrLocked(fmt.Errorf("relay: spool WAL sequence skew: got %d, want %d", got, seq))
+				seq = got
 			}
 		}
-		f.nextSeq++
-		fr := &spoolFrame{seq: f.nextSeq, events: n, body: body}
+		body := encodePayload(seq, p)
+		rawLen := p.RawLen
+		p.Release()
+		f.nextSeq = seq
+		fr := &spoolFrame{seq: seq, events: n, body: body}
 		f.spool = append(f.spool, fr)
 		f.spoolEv += fr.events
 		f.spoolB += int64(len(body)) + 4
@@ -646,6 +628,33 @@ func (f *ForwardSink) cutFrameLocked() {
 		f.wireBytes += uint64(len(body)) + 4
 		f.rawBytes += uint64(rawLen)
 		f.consumePendingLocked(n)
+	}
+}
+
+// compressPendingLocked compresses the longest prefix of pending —
+// halving from all of it — whose frame fits the wire limits, and returns
+// its length and payload. When nothing can be framed (an event too large
+// to fit alone, or an encode error) it sheds what it could not frame
+// and reports false.
+func (f *ForwardSink) compressPendingLocked() (int, evcodec.Payload, bool) {
+	for n := len(f.pending); ; n /= 2 {
+		p, err := evcodec.Compress(f.pending[:n], f.opts.CompressionLevel)
+		switch {
+		case err != nil:
+			// Encoding into memory cannot fail outside of a programming
+			// error; record it and shed the batch rather than wedging.
+			f.noteErrLocked(err)
+			f.shedPendingLocked(n)
+			return 0, evcodec.Payload{}, false
+		case batchOverhead+len(p.Comp)+4 <= f.opts.MaxFrame && p.RawLen <= f.opts.MaxRaw:
+			return n, p, true
+		}
+		p.Release()
+		if n == 1 {
+			f.noteErrLocked(fmt.Errorf("relay: event exceeds frame limits (%d raw bytes, limit %d)", p.RawLen, f.opts.MaxRaw))
+			f.shedPendingLocked(1)
+			return 0, evcodec.Payload{}, false
+		}
 	}
 }
 
@@ -857,6 +866,8 @@ func (f *ForwardSink) serveConn(conn net.Conn, ep *endpoint) {
 	f.conn = conn
 	f.connected = true
 	f.connAcked = false
+	f.connGen++
+	f.inFlight = 0
 	f.cur = ep
 	f.scanIdx = 0 // retransmit everything unacked that this endpoint may send
 	if f.lastServed != nil && f.lastServed.addr != ep.addr {
@@ -941,10 +952,14 @@ func (f *ForwardSink) failbackLoop(conn net.Conn, ep *endpoint, stop <-chan stru
 }
 
 // writeLoop streams spooled frames in sequence order — skipping frames
-// pinned to other endpoints — and cuts pending events into a fresh
-// frame whenever it catches up, so under light load every batch ships
-// as soon as the previous write returns, without a flush timer. The
-// first write of a frame pins it to this endpoint's address, and on a
+// pinned to other endpoints — and, once it has caught up, cuts pending
+// events into a partial frame when no frame it wrote on this connection
+// awaits its ack. Under light load every batch ships as soon as the
+// previous frame is acked, without a flush timer; under heavier load
+// events gather into fuller frames for one round trip instead of each
+// bus batch becoming a frame (RecordBatch still cuts every full
+// FrameEvents frame at once). The first write of a frame pins it to
+// this endpoint's address, and on a
 // durable spool the pin is journaled before any byte can reach the
 // collector — so no collector can ever hold a frame the journal does
 // not pin to it.
@@ -968,7 +983,7 @@ func (f *ForwardSink) writeLoop(conn net.Conn, ep *endpoint) {
 			if fr != nil {
 				break
 			}
-			if len(f.pending) > 0 {
+			if len(f.pending) > 0 && f.inFlight == 0 {
 				f.cutFrameLocked() // may shed on encode failure; rescan
 				continue
 			}
@@ -1020,6 +1035,10 @@ func (f *ForwardSink) writeLoop(conn net.Conn, ep *endpoint) {
 				}
 			}
 		}
+		if fr.sentConn != f.connGen {
+			fr.sentConn = f.connGen
+			f.inFlight++
+		}
 		f.scanIdx++
 		f.mu.Unlock()
 
@@ -1068,12 +1087,15 @@ func (f *ForwardSink) releaseOrphanLocked(fr *spoolFrame) bool {
 }
 
 // removeFrameLocked drops spool[i], keeping the connection's scan
-// cursor pointing at the same next frame.
+// cursor pointing at the same next frame and its in-flight count exact.
 func (f *ForwardSink) removeFrameLocked(i int) {
 	fr := f.spool[i]
 	f.spool = append(f.spool[:i], f.spool[i+1:]...)
 	if f.scanIdx > i {
 		f.scanIdx--
+	}
+	if fr.sentConn != 0 && fr.sentConn == f.connGen {
+		f.inFlight--
 	}
 	f.spoolEv -= fr.events
 	f.spoolB -= int64(len(fr.body)) + 4

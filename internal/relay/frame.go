@@ -209,13 +209,25 @@ func decodeAck(body []byte) (uint64, error) {
 // and the uncompressed payload size (the numerator of the compression
 // ratio). level is a compress/flate level; 0 selects flate.BestSpeed.
 func EncodeBatch(seq uint64, events []core.Event, level int) (body []byte, rawLen int, err error) {
-	w := wire.NewWriter(64*len(events)/4 + 32)
-	header(w, frameBatch)
-	rawLen, err = evcodec.AppendBatch(w, seq, events, level)
+	p, err := evcodec.Compress(events, level)
 	if err != nil {
 		return nil, 0, err
 	}
-	return w.Bytes(), rawLen, nil
+	defer p.Release()
+	return encodePayload(seq, p), p.RawLen, nil
+}
+
+// batchOverhead is what a BATCH frame body adds to its compressed
+// payload: the relay prologue and the evcodec batch head.
+const batchOverhead = 6 + evcodec.HeadSize
+
+// encodePayload frames an already compressed payload as one BATCH frame
+// body under sequence number seq.
+func encodePayload(seq uint64, p evcodec.Payload) []byte {
+	w := wire.NewWriter(batchOverhead + len(p.Comp))
+	header(w, frameBatch)
+	evcodec.AppendPayload(w, seq, p)
+	return w.Bytes()
 }
 
 // DecodeBatch is the symmetric inverse of EncodeBatch. Every declared

@@ -14,6 +14,13 @@ import (
 // over the same directory, and the collector's cross-epoch dedup keeps
 // the replay from ever double-counting.
 
+// refusedAddr is a loopback address that refuses every dial. A port
+// reserved by binding :0 and closing it again can be drawn by a
+// collector in a concurrently running test package (one with the same
+// token acks, and moves the spool's mark); port 1 lies outside the
+// ephemeral range such listeners draw from.
+const refusedAddr = "127.0.0.1:1"
+
 func openSpool(t testing.TB, dir string) *wal.Log {
 	t.Helper()
 	l, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncBatch})
@@ -31,18 +38,11 @@ func openSpool(t testing.TB, dir string) *wal.Log {
 func TestSpoolWALRestartResumes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spool")
 
-	// A listener that accepts nothing: the first forwarder can dial but
-	// never completes delivery, so everything stays spooled.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-
+	// An address that refuses every dial: the first forwarder never
+	// completes delivery, so everything stays spooled.
 	w1 := openSpool(t, dir)
 	fwd1, err := NewForwardSink(ForwardOptions{
-		Addrs: []string{deadAddr}, Token: "tok", Farm: "durable",
+		Addrs: []string{refusedAddr}, Token: "tok", Farm: "durable",
 		SpoolWAL: w1, FrameEvents: 32,
 		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 	})

@@ -155,12 +155,13 @@ type Options struct {
 	// Limits bound per-batch decode allocations during recovery and
 	// replay. Zero fields mean the evcodec defaults.
 	Limits evcodec.Limits
-	// CompressionLevel is the evcodec compression level for batch
-	// payloads. 0 means evcodec.LevelStored: segment appends sit on the
-	// ingest hot path, and stored flate blocks make the journal cost a
+	// CompressionLevel is the evcodec compression level Append uses for
+	// batch payloads. 0 means evcodec.LevelStored: segment appends sit on
+	// the ingest hot path, and stored flate blocks make the journal cost a
 	// copy instead of a compression pass while staying decodable by the
 	// same codec. Pass a compress/flate level (e.g. flate.BestSpeed) to
-	// trade append CPU for disk.
+	// trade append CPU for disk. AppendPayload journals an already
+	// compressed payload as it is, so the level does not apply to it.
 	CompressionLevel int
 	// Logf, when non-nil, receives operational diagnostics (recovered
 	// segments, truncated tails, compactions).
@@ -401,9 +402,7 @@ func (l *Log) writeRecordLocked(parts ...[]byte) error {
 // storage (so a machine crash may). An empty batch is a no-op.
 func (l *Log) Append(events []core.Event, tag []byte) (seq uint64, err error) {
 	if len(events) == 0 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.lastSeq, nil
+		return l.AppendPayload(evcodec.Payload{}, tag)
 	}
 	if len(tag) > MaxTag {
 		return 0, fmt.Errorf("wal: %d-byte tag exceeds limit %d", len(tag), MaxTag)
@@ -417,18 +416,42 @@ func (l *Log) Append(events []core.Event, tag []byte) (seq uint64, err error) {
 		return 0, err
 	}
 	defer payload.Release()
+	return l.appendPayload(payload, tag, began)
+}
+
+// AppendPayload is Append for a batch its caller has already compressed
+// (at any level the codec decodes): the record journals p's compressed
+// bytes as they are, and Options.CompressionLevel does not apply. The
+// relay forwarder journals its wire payload this way, so a frame is
+// compressed once for both the wire and the spool. The caller keeps
+// ownership of p. A payload of no events is a no-op.
+func (l *Log) AppendPayload(p evcodec.Payload, tag []byte) (seq uint64, err error) {
+	if p.Count == 0 {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.lastSeq, nil
+	}
+	if len(tag) > MaxTag {
+		return 0, fmt.Errorf("wal: %d-byte tag exceeds limit %d", len(tag), MaxTag)
+	}
+	return l.appendPayload(p, tag, time.Now())
+}
+
+// appendPayload writes p as the next batch record; began is when the
+// caller's append started, for the latency histogram.
+func (l *Log) appendPayload(p evcodec.Payload, tag []byte, began time.Time) (seq uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
 	}
 	seq = l.lastSeq + 1
-	head := make([]byte, 0, 64+len(tag))
+	head := make([]byte, 0, 3+len(tag)+evcodec.HeadSize)
 	head = append(head, recBatch)
 	head = binary.LittleEndian.AppendUint16(head, uint16(len(tag)))
 	head = append(head, tag...)
-	head = payload.AppendHead(head, seq)
-	if err := l.writeRecordLocked(head, payload.Comp); err != nil {
+	head = p.AppendHead(head, seq)
+	if err := l.writeRecordLocked(head, p.Comp); err != nil {
 		return 0, err
 	}
 	l.lastSeq = seq
@@ -439,7 +462,7 @@ func (l *Log) Append(events []core.Event, tag []byte) (seq uint64, err error) {
 	seg.maxSeq = seq
 	seg.batches++
 	l.appendedBatches++
-	l.appendedEvents += uint64(len(events))
+	l.appendedEvents += uint64(p.Count)
 	l.appendLat.Observe(time.Since(began))
 	return seq, nil
 }
@@ -752,8 +775,9 @@ type Stats struct {
 	Compacted       uint64 // segments deleted by Compact/CompactBefore
 	CompactedBytes  uint64 // bytes those segments occupied on disk
 
-	// AppendLatency is the distribution of Append call durations
-	// (compression included), observed under the log mutex.
+	// AppendLatency is the distribution of Append and AppendPayload call
+	// durations (Append's compression included), observed under the log
+	// mutex.
 	AppendLatency core.DurationHist
 
 	// Recovered is what Open found on disk, including the loss account:
